@@ -50,6 +50,7 @@ from repro.core.compliance import (
 from repro.core.configuration import Configuration
 from repro.core.observables import ErrorEvent
 from repro.core.weaknext import WeakNextEngine
+from repro.cows.terms import Term
 from repro.errors import (
     ArtifactError,
     AutomatonExplosionError,
@@ -209,6 +210,8 @@ class PurposeAutomaton:
         self._transition_count = 0
         self._engine: Optional[WeakNextEngine] = None
         self._engine_source: Optional[EngineSource] = None
+        #: ``term_digest`` per state term seen by :meth:`_pairs`.
+        self._digests: dict[Term, str] = {}
         #: Monotonic edit counter; bumps on every new state or transition.
         #: Checkpointing compares it against the last persisted revision.
         self.revision = 0
@@ -309,14 +312,19 @@ class PurposeAutomaton:
         return self._engine
 
     # -- state interning -------------------------------------------------
-    @staticmethod
     def _pairs(
-        configs: Iterable[Configuration],
+        self, configs: Iterable[Configuration]
     ) -> list[tuple[str, tuple[tuple[str, str], ...]]]:
-        return [
-            (term_digest(conf.state), tuple(sorted(conf.active)))
-            for conf in configs
-        ]
+        # The same state terms recur across many frontiers; rendering a
+        # whole state with ``str`` for its digest is the costly part.
+        digests = self._digests
+        pairs = []
+        for conf in configs:
+            digest = digests.get(conf.state)
+            if digest is None:
+                digest = digests[conf.state] = term_digest(conf.state)
+            pairs.append((digest, tuple(sorted(conf.active))))
+        return pairs
 
     def _intern(
         self, configs: tuple[Configuration, ...], path: tuple[str, ...]

@@ -52,9 +52,13 @@ ERROR_TRANSITION = "error"
 REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplayStep:
-    """The audit record of replaying one log entry."""
+    """The audit record of replaying one log entry.
+
+    Slotted (no per-instance ``__dict__``): a monitor keeps one per
+    replayed entry of every case it holds.
+    """
 
     index: int
     entry: LogEntry

@@ -26,7 +26,6 @@ from collections import deque
 
 from repro.bpmn.encode import EncodedProcess
 from repro.core.observables import Observables, ObservableEvent
-from repro.cows.congruence import normalize
 from repro.cows.lts import LTS
 from repro.cows.terms import Nil, Term, active_tasks
 from repro.errors import NotFinitelyObservableError
@@ -58,6 +57,7 @@ class WeakNextEngine:
         self._max_silent_states = max_silent_states
         # The LTS is used purely for its memoized, kill-prioritized,
         # closed-label successor computation; its initial state is unused.
+        # It owns the semantics memos, so they are freed with the engine.
         self._lts = LTS(initial=Nil(), closed=True)
         self._cache: dict[Term, tuple[NextState, ...]] = {}
         self._silent_states_explored = 0
@@ -156,7 +156,7 @@ class WeakNextEngine:
 
     def normalize(self, term: Term) -> Term:
         """Canonicalize a term so it can be fed to :meth:`weak_next`."""
-        return normalize(term)
+        return self._lts.normalize(term)
 
     def cache_size(self) -> int:
         return len(self._cache)

@@ -15,6 +15,13 @@ Normalizing after every transition keeps the explored state space small
 (loops return to literally equal states) and makes state identity a plain
 hash/equality check.  DESIGN.md lists this as design decision D3; the
 ablation bench measures its effect.
+
+:func:`normalize` takes an optional *memo* dict from a term to its
+canonical form.  An LTS normalizes every successor it derives, and a
+successor shares all but one or two subtrees with its canonical source
+state; with the memo those shared subtrees come back at once instead of
+being rebuilt node by node.  Like the transitions memo of
+:mod:`repro.cows.semantics`, it is owned by one :class:`repro.cows.lts.LTS`.
 """
 
 from __future__ import annotations
@@ -37,15 +44,35 @@ from repro.cows.terms import (
 _NIL = Nil()
 
 
-def normalize(term: Term) -> Term:
-    """Return the canonical form of *term* (idempotent)."""
+#: A per-owner normalization memo (see the module docs).
+NormalizeMemo = dict[Term, Term]
+
+
+def normalize(term: Term, memo: NormalizeMemo | None = None) -> Term:
+    """Return the canonical form of *term* (idempotent).
+
+    With *memo*, the canonical forms of *term* and of every subterm
+    normalized on the way are looked up in and stored into it.
+    """
     if isinstance(term, (Nil, Invoke, Kill)):
         return term
+    if memo is None:
+        return _normalize(term, None)
+    normal = memo.get(term)
+    if normal is None:
+        normal = _normalize(term, memo)
+        memo[term] = normal
+    return normal
+
+
+def _normalize(term: Term, memo: NormalizeMemo | None) -> Term:
     if isinstance(term, Request):
-        return Request(term.endpoint, term.params, normalize(term.continuation))
+        return Request(
+            term.endpoint, term.params, normalize(term.continuation, memo)
+        )
     if isinstance(term, Choice):
         branches = sorted(
-            {normalize(b) for b in term.branches}, key=canonical_key
+            {normalize(b, memo) for b in term.branches}, key=canonical_key
         )
         if not branches:
             return _NIL
@@ -55,7 +82,7 @@ def normalize(term: Term) -> Term:
     if isinstance(term, Parallel):
         flat: list[Term] = []
         for component in term.components:
-            normal = normalize(component)
+            normal = normalize(component, memo)
             if isinstance(normal, Parallel):
                 flat.extend(normal.components)
             elif not isinstance(normal, Nil):
@@ -66,26 +93,26 @@ def normalize(term: Term) -> Term:
             return flat[0]
         return Parallel(tuple(sorted(flat, key=canonical_key)))
     if isinstance(term, Scope):
-        body = normalize(term.body)
+        body = normalize(term.body, memo)
         if isinstance(body, Nil):
             return _NIL
         if term.binder not in free_identifiers(body):
             return body
         return Scope(term.binder, body)
     if isinstance(term, Protect):
-        body = normalize(term.body)
+        body = normalize(term.body, memo)
         if isinstance(body, (Nil, Protect)):
             return body
         return Protect(body)
     if isinstance(term, Replicate):
-        body = normalize(term.body)
+        body = normalize(term.body, memo)
         if isinstance(body, Nil):
             return _NIL
         if isinstance(body, Replicate):
             return body
         return Replicate(body)
     if isinstance(term, TaskMarker):
-        body = normalize(term.body)
+        body = normalize(term.body, memo)
         if isinstance(body, Nil):
             # A marker whose continuation can never act would linger
             # forever; it carries no behaviour, so it normalizes away.

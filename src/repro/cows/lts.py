@@ -9,6 +9,13 @@ introduction uses — and what Algorithm 1 makes unnecessary.
 States handed out by this module are always in canonical form
 (:func:`repro.cows.congruence.normalize`), so they can be compared and
 hashed directly.
+
+Each :class:`LTS` owns the memos of the semantics it evaluates — the
+transitions of every subterm and the canonical form of every term it
+normalized.  They live and die with the LTS (and so with the
+:class:`~repro.core.weaknext.WeakNextEngine` that owns it): a module-wide
+memo would keep every term of a finished compilation alive for the life
+of the process.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.cows.congruence import normalize
+from repro.cows.congruence import NormalizeMemo, normalize
 from repro.cows.labels import CommLabel, Label, is_kill_label
-from repro.cows.semantics import enabled
+from repro.cows.semantics import TransitionMemo, enabled
 from repro.cows.terms import Term
 
 #: Successor edge: observable-or-internal label plus canonical target state.
@@ -63,13 +70,19 @@ class LTS:
     """
 
     def __init__(self, initial: Term, closed: bool = True):
-        self._initial = normalize(initial)
+        self._transitions_memo: TransitionMemo = {}
+        self._normalize_memo: NormalizeMemo = {}
+        self._initial = self.normalize(initial)
         self._closed = closed
         self._successor_cache: dict[Term, tuple[Edge, ...]] = {}
 
     @property
     def initial(self) -> Term:
         return self._initial
+
+    def normalize(self, term: Term) -> Term:
+        """The canonical form of *term*, through this LTS's memo."""
+        return normalize(term, self._normalize_memo)
 
     def successors(self, state: Term) -> tuple[Edge, ...]:
         """The (label, canonical successor) pairs enabled in *state*.
@@ -82,10 +95,10 @@ class LTS:
             return cached
         edges: list[Edge] = []
         seen: set[Edge] = set()
-        for label, target in enabled(state):
+        for label, target in enabled(state, self._transitions_memo):
             if self._closed and not self._is_complete(label):
                 continue
-            edge = (label, normalize(target))
+            edge = (label, normalize(target, self._normalize_memo))
             if edge not in seen:
                 seen.add(edge)
                 edges.append(edge)

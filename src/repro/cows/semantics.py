@@ -27,6 +27,14 @@ Kill priority — COWS kill activities are eager — is enforced by
 whenever one is possible.  The LTS layer always goes through
 :func:`enabled`.
 
+Both functions take an optional *memo* dict mapping a term to its
+transitions.  Terms are immutable and the rules are a pure function of
+the term, so a memo hit is exactly the recomputed result; the parallel
+components that did not move in a step are then not re-derived for
+every new state.  The memo belongs to the caller (one per
+:class:`repro.cows.lts.LTS`), never to this module, so it is freed
+with its owner.
+
 Deviations from full COWS (documented in DESIGN.md §3): substitutions are
 applied eagerly at synchronization time instead of at the delimiter, and
 the best-match communication rule is not implemented.  Both coincide with
@@ -69,8 +77,30 @@ Transition = tuple[Label, Term]
 _NIL = Nil()
 
 
-def transitions(term: Term) -> tuple[Transition, ...]:
-    """All transitions of *term*, without kill priority applied."""
+#: A per-owner transitions memo (see the module docs).
+TransitionMemo = dict[Term, tuple[Transition, ...]]
+
+
+def transitions(
+    term: Term, memo: TransitionMemo | None = None
+) -> tuple[Transition, ...]:
+    """All transitions of *term*, without kill priority applied.
+
+    With *memo*, results (of *term* and of every subterm derived on the
+    way) are looked up in and stored into it.
+    """
+    if memo is None:
+        return _transitions(term, None)
+    cached = memo.get(term)
+    if cached is None:
+        cached = _transitions(term, memo)
+        memo[term] = cached
+    return cached
+
+
+def _transitions(
+    term: Term, memo: TransitionMemo | None
+) -> tuple[Transition, ...]:
     if isinstance(term, Nil):
         return ()
     if isinstance(term, Invoke):
@@ -82,27 +112,30 @@ def transitions(term: Term) -> tuple[Transition, ...]:
     if isinstance(term, Choice):
         result: list[Transition] = []
         for branch in term.branches:
-            result.extend(transitions(branch))
+            result.extend(transitions(branch, memo))
         return tuple(result)
     if isinstance(term, Kill):
         return ((KillSignal(term.label), _NIL),)
     if isinstance(term, Protect):
         return tuple(
-            (label, Protect(target)) for label, target in transitions(term.body)
+            (label, Protect(target))
+            for label, target in transitions(term.body, memo)
         )
     if isinstance(term, TaskMarker):
         # Transparent: the marker evaporates on the body's first activity.
-        return transitions(term.body)
+        return transitions(term.body, memo)
     if isinstance(term, Scope):
-        return _scope_transitions(term)
+        return _scope_transitions(term, memo)
     if isinstance(term, Parallel):
-        return _parallel_transitions(term)
+        return _parallel_transitions(term, memo)
     if isinstance(term, Replicate):
-        return _replicate_transitions(term)
+        return _replicate_transitions(term, memo)
     raise TypeError(f"not a COWS term: {type(term).__name__}")
 
 
-def enabled(term: Term) -> tuple[Transition, ...]:
+def enabled(
+    term: Term, memo: TransitionMemo | None = None
+) -> tuple[Transition, ...]:
     """The transitions of *term* with COWS kill priority enforced.
 
     If any kill transition (``+k`` or ``+``) is enabled, only kill
@@ -110,7 +143,7 @@ def enabled(term: Term) -> tuple[Transition, ...]:
     communication can take place.  This is what makes the exclusive
     gateway encoding (Fig. 8) behave exclusively.
     """
-    all_transitions = transitions(term)
+    all_transitions = transitions(term, memo)
     kills = tuple(t for t in all_transitions if is_kill_label(t[0]))
     if kills:
         return kills
@@ -133,10 +166,12 @@ def halt(term: Term) -> Term:
     return _NIL
 
 
-def _scope_transitions(term: Scope) -> tuple[Transition, ...]:
+def _scope_transitions(
+    term: Scope, memo: TransitionMemo | None
+) -> tuple[Transition, ...]:
     binder = term.binder
     result: list[Transition] = []
-    for label, target in transitions(term.body):
+    for label, target in transitions(term.body, memo):
         if isinstance(binder, KillerLabel):
             if isinstance(label, KillSignal) and label.label == binder:
                 result.append((KillDone(), Scope(binder, target)))
@@ -166,10 +201,12 @@ def _partial_label_mentions(label: Label, name: Name) -> bool:
     return False
 
 
-def _parallel_transitions(term: Parallel) -> tuple[Transition, ...]:
+def _parallel_transitions(
+    term: Parallel, memo: TransitionMemo | None
+) -> tuple[Transition, ...]:
     components = term.components
     per_component: list[tuple[Transition, ...]] = [
-        transitions(component) for component in components
+        transitions(component, memo) for component in components
     ]
     result: list[Transition] = []
 
@@ -190,15 +227,26 @@ def _parallel_transitions(term: Parallel) -> tuple[Transition, ...]:
                 result.append((label, parallel(*rest)))
 
     # Synchronization: an invoke of one component meets a matching request
-    # of another.
+    # of another.  A pair whose invoke and request endpoints are disjoint
+    # cannot communicate, so it is skipped without changing the order of
+    # the communications that remain.
+    invokes = [
+        {label.endpoint for label, _ in ts if isinstance(label, InvokeLabel)}
+        for ts in per_component
+    ]
+    requests = [
+        {label.endpoint for label, _ in ts if isinstance(label, RequestLabel)}
+        for ts in per_component
+    ]
     for i, transitions_i in enumerate(per_component):
+        if not invokes[i]:
+            continue
         for j, transitions_j in enumerate(per_component):
-            if i == j:
+            if i == j or invokes[i].isdisjoint(requests[j]):
                 continue
-            for comm in _communications(
-                transitions_i, transitions_j, components, i, j
-            ):
-                result.append(comm)
+            result.extend(
+                _communications(transitions_i, transitions_j, components, i, j)
+            )
     return tuple(result)
 
 
@@ -229,8 +277,10 @@ def _communications(
     return result
 
 
-def _replicate_transitions(term: Replicate) -> tuple[Transition, ...]:
-    body_transitions = transitions(term.body)
+def _replicate_transitions(
+    term: Replicate, memo: TransitionMemo | None
+) -> tuple[Transition, ...]:
+    body_transitions = transitions(term.body, memo)
     result: list[Transition] = [
         (label, parallel(term, target)) for label, target in body_transitions
     ]

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime
+from functools import lru_cache
 from sys import intern
 from typing import Optional
 
@@ -171,6 +172,22 @@ def _parse_ts(text: str) -> datetime:
         ) from error
 
 
+#: How many distinct object references :func:`_parse_obj` keeps.
+_OBJ_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_OBJ_CACHE_SIZE)
+def _parse_obj(text: str) -> ObjectRef:
+    """Parse an ``obj`` field, sharing one :class:`ObjectRef` per text.
+
+    A case's entries name the same few objects over and over; without
+    sharing, every retained entry carries its own path tuple, path-part
+    strings and subject string.  ``ObjectRef`` is immutable, so sharing
+    is safe.  Errors are not cached and still reach the caller.
+    """
+    return ObjectRef.parse(text)
+
+
 def entry_from_message(message: dict) -> LogEntry:
     """Decode an ``entry`` operation into a validated :class:`LogEntry`."""
     missing = [
@@ -184,9 +201,7 @@ def entry_from_message(message: dict) -> LogEntry:
         )
     obj_text = message.get("obj")
     try:
-        obj: Optional[ObjectRef] = (
-            ObjectRef.parse(obj_text) if obj_text else None
-        )
+        obj: Optional[ObjectRef] = _parse_obj(obj_text) if obj_text else None
     except Exception as error:
         raise ProtocolError(f"bad object reference {obj_text!r}: {error}") from error
     status_text = message.get("status", Status.SUCCESS.value)

@@ -244,3 +244,112 @@ class TestDocumentRoundTrip:
                     "states": [],
                 }
             )
+
+
+#: Compiled output of every shipped scenario purpose, recorded before the
+#: COWS semantics were memoized.  State ids, frontier order, transition
+#: summaries and table bytes must not move: compiled state identity is
+#: part of every persisted artifact and replay digest.
+PINNED_SCENARIO_AUTOMATA = {
+    ("paper", "clinicaltrial"): (
+        "55d76f9b06650b55f4e93aaf261f72b78717c2f1fe92584583c12e2d91418002",
+        6,
+        36,
+        "31cb7a2f4beef8296dcd30f3590ae5cba54279579cb068e330ae82ae27d7b55c",
+        "c488d43f38ce536737d1fe350536642616d0844d72e2aff036dbfbe62612a7f5",
+    ),
+    ("paper", "treatment"): (
+        "362acc4d61866f70e8097f7a8ff717190c31b5536ba5eb7dbad781c1b77e252f",
+        49,
+        2989,
+        "a4d9877c5536ba21a308320cd83a310c8670701e00961a250088615fe0e868b0",
+        "d57317004642c9c1a387e45eef1bed95ba0e3288b89a6c74f3dfd9a1fd67faa1",
+    ),
+    ("insurance", "claimhandling"): (
+        "906dce2b6cb6887609d3b4a4095731a8a4a3620d4da62a0c51168307509b356b",
+        9,
+        261,
+        "b3b6417618a070a4bb5897d798602096f4888239babe7c324fe150ce96ac8d60",
+        "a2a5d92dd9e1ca083f8423ef134326e1c323e65aa79a71ee5266481527603417",
+    ),
+    ("insurance", "marketing"): (
+        "3695a5a5fad04ca5feaadf5ef120bf3f3f4e0178d6452607249334b9a344b670",
+        5,
+        25,
+        "f047cd377c09115f22938d18d6482cdc40926c074ac717fb5dc92482f113aeae",
+        "47e46f64e40a1e298183ddb35e4d0d4629de59dad8920cf4fc40a70053030694",
+    ),
+}
+
+
+def _scenario(name):
+    import repro.scenarios as scenarios
+
+    if name == "paper":
+        return scenarios.process_registry(), scenarios.role_hierarchy()
+    return scenarios.insurance_registry(), scenarios.insurance_role_hierarchy()
+
+
+class TestPinnedScenarioOutput:
+    def test_every_scenario_purpose_is_pinned(self):
+        pinned = {
+            (scenario, purpose)
+            for scenario in ("paper", "insurance")
+            for purpose in _scenario(scenario)[0].purposes()
+        }
+        assert pinned == set(PINNED_SCENARIO_AUTOMATA)
+
+    @pytest.mark.parametrize(
+        "scenario,purpose", sorted(PINNED_SCENARIO_AUTOMATA)
+    )
+    def test_compiled_output_is_unchanged(self, scenario, purpose, tmp_path):
+        import hashlib
+        import json
+
+        from repro.compile import compile_table
+        from repro.compile.table import save_table
+
+        registry, hierarchy = _scenario(scenario)
+        checker = ComplianceChecker(
+            registry.encoded_for(purpose), hierarchy=hierarchy
+        )
+        automaton = compile_automaton(checker)
+        document = json.dumps(
+            automaton.to_document(), sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        table = save_table(compile_table(automaton), tmp_path / "t.bin")
+        assert (
+            automaton.states_digest(),
+            automaton.state_count,
+            automaton.transition_count,
+            hashlib.sha256(document).hexdigest(),
+            hashlib.sha256(table.read_bytes()).hexdigest(),
+        ) == PINNED_SCENARIO_AUTOMATA[(scenario, purpose)]
+
+
+class TestMemoScope:
+    def test_semantics_memos_die_with_the_checker(self):
+        import gc
+        import weakref
+
+        from repro.cows import Parallel
+
+        checker = fresh_checker(n_tasks=3)
+        automaton = compile_automaton(checker)
+        document = automaton.to_document()
+        lts = weakref.ref(checker.engine._lts)
+        # Raw (not yet normalized) successor terms live only in the memo.
+        derived = [
+            weakref.ref(target)
+            for edges in lts()._transitions_memo.values()
+            for _, target in edges
+            if isinstance(target, Parallel)
+        ]
+        assert derived and lts()._normalize_memo
+        del checker, automaton
+        gc.collect()
+        assert lts() is None
+        assert all(ref() is None for ref in derived)
+        # The saved artifact alone still replays.
+        clone = PurposeAutomaton.from_document(document)
+        assert clone.state_count > 1

@@ -264,3 +264,18 @@ class TestSessionApi:
         checker = checker_for(sequential_process(2))
         assert bool(checker.check([entries("T1")]))
         assert not bool(checker.check([entries("T2")]))
+
+
+class TestReplayStepRecord:
+    def test_steps_are_slotted(self, entries):
+        checker = checker_for(sequential_process(2))
+        (step,) = checker.check([entries("T1")]).steps
+        assert not hasattr(step, "__dict__")
+
+    def test_steps_pickle_round_trip(self, entries):
+        # ``repro audit --workers`` ships replay results between processes.
+        import pickle
+
+        checker = checker_for(sequential_process(2))
+        steps = checker.check([entries("T1"), entries("T9")]).steps
+        assert pickle.loads(pickle.dumps(steps)) == steps

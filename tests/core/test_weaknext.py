@@ -160,3 +160,22 @@ class TestConfigurationHelpers:
         b = Configuration(state=a.state, active=a.active, next=())
         assert a == b
         assert hash(a) == hash(b)
+
+
+class TestMemoOwnership:
+    def test_engines_share_no_semantics_memo(self):
+        first, encoded = engine_for(sequential_process(2))
+        second, _ = engine_for(sequential_process(2))
+        first.weak_next(first.normalize(encoded.term))
+        memos = (
+            first._lts._transitions_memo,
+            first._lts._normalize_memo,
+            second._lts._transitions_memo,
+            second._lts._normalize_memo,
+        )
+        assert len({id(memo) for memo in memos}) == 4
+        assert first._lts._transitions_memo
+        assert not second._lts._transitions_memo
+        assert first.weak_next(
+            first.normalize(encoded.term)
+        ) == second.weak_next(second.normalize(encoded.term))

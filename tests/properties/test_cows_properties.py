@@ -4,6 +4,7 @@ semantics invariants and parser round-trips."""
 from hypothesis import given, settings, strategies as st
 
 from repro.cows import (
+    LTS,
     Choice,
     CommLabel,
     Invoke,
@@ -17,6 +18,7 @@ from repro.cows import (
     enabled,
     endpoint,
     free_identifiers,
+    is_kill_label,
     killer,
     name,
     normalize,
@@ -112,6 +114,57 @@ class TestSemanticsInvariants:
         labels = [l for l, _ in enabled(term)]
         if any(is_kill_label(l) for l in labels):
             assert all(is_kill_label(l) for l in labels)
+
+
+def _unmemoized_successors(state, closed):
+    """``LTS.successors`` spelled out over the memo-free semantics."""
+    edges = []
+    for label, target in enabled(state):
+        if closed and not (isinstance(label, CommLabel) or is_kill_label(label)):
+            continue
+        edge = (label, normalize(target))
+        if edge not in edges:
+            edges.append(edge)
+    return tuple(edges)
+
+
+class TestMemoizedSemantics:
+    """An LTS's memoized successors are exactly the unmemoized ones —
+    same edges, same order (compiled state identity depends on it)."""
+
+    @given(terms(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_successors_match_unmemoized_semantics(self, term, closed):
+        from repro.errors import SubstitutionError
+
+        lts = LTS(term, closed=closed)
+        assert lts.initial == normalize(term)
+        frontier = [lts.initial]
+        seen = {lts.initial}
+        # Walk a bounded fragment so later states hit memo entries the
+        # earlier ones left behind.
+        while frontier and len(seen) < 25:
+            state = frontier.pop(0)
+            try:
+                edges = lts.successors(state)
+            except SubstitutionError:
+                try:
+                    _unmemoized_successors(state, closed)
+                except SubstitutionError:
+                    return
+                raise AssertionError("only the memoized semantics raised")
+            assert edges == _unmemoized_successors(state, closed)
+            for _, target in edges:
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+
+    @given(terms())
+    @settings(max_examples=200)
+    def test_memoized_normalize_matches(self, term):
+        memo = {}
+        assert normalize(term, memo) == normalize(term)
+        assert normalize(normalize(term), memo) == normalize(term)
 
 
 class TestSubstitutionLaws:

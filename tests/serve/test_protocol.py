@@ -122,6 +122,22 @@ class TestWireProtocol:
         with pytest.raises(ProtocolError, match="yesterday-ish"):
             entry_from_message(message)
 
+    def test_entries_naming_one_object_share_its_reference(self):
+        first = entry_from_message(entry_to_message(_entry()))
+        second = entry_from_message(
+            entry_to_message(_entry(case="HT-2", task="T02"))
+        )
+        assert first.obj == ObjectRef.parse("/hospital/patients/Pietro")
+        assert second.obj is first.obj
+
+    @pytest.mark.parametrize("obj", ["[Jane", "[Jane]", ["a"], 7])
+    def test_bad_object_raises_protocol_error(self, obj):
+        message = entry_to_message(_entry())
+        message["obj"] = obj
+        for _ in range(2):  # a failed parse is never cached
+            with pytest.raises(ProtocolError, match="bad object reference"):
+                entry_from_message(message)
+
     def test_bad_status_raises(self):
         message = entry_to_message(_entry())
         message["status"] = "maybe"
